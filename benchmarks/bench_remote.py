@@ -19,8 +19,9 @@ drift); the headline is the median per-round ratio of ``remote`` over
 inline reference — the transport must never perturb results.
 
 Quick scale (the CI smoke) asserts the ratio stays within the budget
-and writes nothing.  Full scale records the ratios in
-``BENCH_PR9.json`` at the repo root.
+and writes nothing.  Full scale writes the ratios to ``BENCH_PR9.json``
+at the repo root of the checkout it runs in; that file is a local
+result and is not committed.
 """
 
 import hashlib

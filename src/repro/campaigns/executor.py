@@ -134,16 +134,14 @@ def _execute_job(job):
     """Worker entry point: one simulation or one optimiser run.
 
     Simulation jobs carrying a shared-runtime handle map the parent's
-    one precompute (snapshot timeline, protocol RNG stream, and the
-    interval live-mask index, DESIGN.md §9/§11); jobs without (or whose
-    attach cannot be honoured) resolve their scenario's
-    :class:`~repro.manet.runtime.ScenarioRuntime`
+    one precompute (snapshot timeline and protocol RNG stream,
+    DESIGN.md §9); jobs without (or whose attach cannot be honoured)
+    resolve their scenario's :class:`~repro.manet.runtime.ScenarioRuntime`
     from the worker's per-process LRU instead, so cells that reference
     the same scenario — within a campaign or across param-sweep cells —
-    still share one precomputed beacon grid per worker.  Workers run
-    the batched delivery path by default and honour the parent's
-    ``REPRO_BATCH_DELIVERIES`` / ``REPRO_LIVE_INDEX`` settings (read at
-    simulator construction).  Results are bit-identical on every path.
+    still share one precomputed beacon grid per worker.  Workers honour
+    the parent's ``REPRO_COMPILED`` setting (read at simulator
+    construction).  Results are bit-identical on every path.
 
     Two resilience hooks bracket the work (DESIGN.md §13), both free
     when their env toggles are unset: the fault plane may crash, hang,

@@ -452,8 +452,7 @@ enum {
 
 /* counts_out indices */
 enum {
-    CN_FIRED, CN_FRAMES, CN_RESOLVED, CN_DRAWS, CN_BATCH_VECTOR,
-    CN_BATCH_SCALAR, CN_DECISIONS,
+    CN_FIRED, CN_FRAMES, CN_RESOLVED, CN_DRAWS, CN_DECISIONS,
     CN_COUNT
 };
 
@@ -523,7 +522,6 @@ typedef struct {
     long long seq;
     /* counters */
     long long fired;
-    long batch_vector, batch_scalar;
     double energy;
     long n_resolved;
 } Kernel;
@@ -624,8 +622,11 @@ k_pow10(Kernel *k, long m)
     return 0;
 }
 
-/* Positions at ``t`` — RandomWalkMobility.positions_into, op for op
- * (mul, add, one-period fold or floored mod, then the triangle wave). */
+/* Positions at ``t`` — RandomWalkMobility.positions_at, value for value
+ * (mul, add, then geometry.reflect_fold's floored mod and triangle
+ * wave).  When one epoch's displacement stays under the arena side the
+ * floored mod is spelled as "add the period to the negatives", which
+ * is exact there and so bit-identical to np.mod. */
 static const double *
 k_positions(Kernel *k, double t)
 {
@@ -669,9 +670,8 @@ k_positions(Kernel *k, double t)
 
 static int k_do_transmit(Kernel *k, long sender, double power, double t);
 
-/* AEDBProtocol._select_tx_power, scan spelling (bit-identical to both
- * the live-index and the scan path of the reference — all three
- * evaluate the same freshness predicate on the same floats). */
+/* AEDBProtocol._select_tx_power (the same freshness predicate as
+ * NeighborTables.live_mask, on the same floats). */
 static double
 k_select_tx_power(Kernel *k, long node, double t)
 {
@@ -812,20 +812,12 @@ k_do_transmit(Kernel *k, long sender, double power, double t)
     return k_push(k, k->fr_end[f], EV_RESOLVE, f, 0.0);
 }
 
-/* AEDBProtocol.on_receive_batch: one ascending pass (identical to both
- * the scalar small-batch loop and the vectorised update — see
- * DESIGN.md §14 for the equivalence argument). */
+/* RadioMedium._resolve's delivery loop: AEDBProtocol.on_receive once
+ * per eligible receiver, in ascending id order. */
 static int
 k_deliver(Kernel *k, long f, double t)
 {
-    long n = k->n, count = 0;
-    for (long r = 0; r < n; r++)
-        if (k->elig[r])
-            count++;
-    if (count <= 8)
-        k->batch_scalar++;
-    else
-        k->batch_vector++;
+    long n = k->n;
     long sender = (long)k->fr_sender[f];
     for (long r = 0; r < n; r++) {
         if (!k->elig[r])
@@ -843,8 +835,11 @@ k_deliver(Kernel *k, long f, double t)
     return 0;
 }
 
-/* RadioMedium._resolve, batch mode with the inlined log-distance fast
- * path (the only configuration the kernel accepts). */
+/* RadioMedium._resolve with LogDistancePathLoss inlined (the only path
+ * loss the kernel accepts).  Interference and capture are evaluated
+ * only at receivers that clear detection and are not transmitting: the
+ * per-event path computes them for every node, but the values at the
+ * skipped ones can never make a receiver eligible. */
 static int
 k_resolve(Kernel *k, long f, double t)
 {
@@ -1239,8 +1234,6 @@ evcore_run_window(PyObject *self, PyObject *args)
     counts[CN_FRAMES] = k.n_frames;
     counts[CN_RESOLVED] = k.n_resolved;
     counts[CN_DRAWS] = k.draw - (long)ip[IP_RNG_OFFSET];
-    counts[CN_BATCH_VECTOR] = k.batch_vector;
-    counts[CN_BATCH_SCALAR] = k.batch_scalar;
     counts[CN_DECISIONS] = k.n_decisions;
     result = PyFloat_FromDouble(k.energy);
 

@@ -24,8 +24,8 @@ Selection (``REPRO_COMPILED``, overridable per simulator via the
 The fallback ladder, in order: extension import → ``probe_ops``
 arithmetic self-check (sqrt / FMA-contraction canary / floored-mod
 replica vs numpy) → per-run preconditions (runtime attached, replay RNG
-stream, batched deliveries, log-distance path loss, static or
-random-walk mobility).  Every rung lands on the pure path with a
+stream, no per-frame delivery recording, log-distance path loss, static
+or random-walk mobility).  Every rung lands on the pure path with a
 human-readable reason.
 """
 
@@ -134,21 +134,22 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
 
     The kernel covers exactly the warm evaluation path the campaign and
     tuning layers run: a :class:`ScenarioRuntime` substrate, the replay
-    RNG stream, batched deliveries, the log-distance model, and a
-    static or random-walk trace.  Anything else is the pure path's job.
+    RNG stream, the log-distance model, and a static or random-walk
+    trace.  Anything else is the pure path's job.
     """
     from repro.manet.mobility import RandomWalkMobility, StaticMobility
+    from repro.manet.propagation import LogDistancePathLoss
     from repro.manet.runtime import UniformStream
 
     if sim.runtime is None:
         return "no ScenarioRuntime attached"
     if type(sim._protocol_rng) is not UniformStream:
         return "protocol rng is not the runtime's replay stream"
-    if sim.medium._on_delivery_batch is None:
-        return "batched deliveries disabled"
     if sim.medium._record_deliveries:
         return "per-frame delivery recording requested"
-    if sim.medium._fast_log_distance is None:
+    # ``type is`` (not isinstance): a subclass overriding loss_db must
+    # not be silently replaced by the kernel's inlined log-distance.
+    if type(sim.medium._loss) is not LogDistancePathLoss:
         return "path-loss model is not plain log-distance"
     if type(sim._mobility) not in (StaticMobility, RandomWalkMobility):
         return f"unsupported mobility model {type(sim._mobility).__name__}"
@@ -164,7 +165,7 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
 # fparams/iparams slot order — must match the enums in _evcore.c.
 _N_FPARAMS = 21
 _N_IPARAMS = 8
-_N_COUNTS = 7
+_N_COUNTS = 5
 
 #: Decision-kind codes emitted by the kernel, formatted here with the
 #: exact f-strings of :class:`~repro.manet.aedb.AEDBProtocol`.
@@ -230,7 +231,10 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     pack = _runtime_pack(runtime, n)
     window_times = pack["window_times"]
     W = len(window_times)
-    ref_d, ref_loss, scale = medium._fast_log_distance
+    loss = medium._loss
+    ref_d = float(loss.reference_distance_m)
+    ref_loss = float(loss.reference_loss_db)
+    scale = 10.0 * loss.exponent
 
     if type(mobility) is RandomWalkMobility:
         mob_mode = 1
@@ -323,12 +327,10 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         counts,
     )
 
-    fired, n_frames, n_resolved, draws, b_vec, b_scal, n_dec = counts.tolist()
+    fired, n_frames, n_resolved, draws, n_dec = counts.tolist()
 
     # -- protocol ----------------------------------------------------- #
     rng._i += draws
-    protocol.batch_frames_vector += b_vec
-    protocol.batch_frames_scalar += b_scal
     states_by_code = (
         AEDBNodeState.IDLE,
         AEDBNodeState.WAITING,
@@ -336,15 +338,8 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         AEDBNodeState.FORWARDED,
     )
     state = protocol.state
-    n_idle = n_waiting = 0
     for node, code in enumerate(protocol._state_code.tolist()):
         state[node] = states_by_code[code]
-        if code == 0:
-            n_idle += 1
-        elif code == 1:
-            n_waiting += 1
-    protocol._n_idle = n_idle
-    protocol._n_waiting = n_waiting
 
     if protocol._record_decisions and n_dec:
         append = protocol.decisions.append
@@ -389,7 +384,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     # -- neighbour tables --------------------------------------------- #
     # The kernel consumed the window snapshots read-only; replaying the
     # canonical rounds through the live tables is W O(1) snapshot swaps
-    # that land rounds_run, the live-index tick, and the current-view
+    # that land rounds_run, the timeline cursor, and the current-view
     # arrays exactly where the pure event loop leaves them.
     for t in runtime.window_times:
         tables.beacon_round(t)

@@ -191,20 +191,6 @@ register(
     anchor="DESIGN.md §14",
 )
 register(
-    "REPRO_BATCH_DELIVERIES",
-    values="`0` disables",
-    default="1",
-    doc="Batched frame-delivery path (read at simulator construction)",
-    anchor="DESIGN.md §11",
-)
-register(
-    "REPRO_LIVE_INDEX",
-    values="`0` disables",
-    default="1",
-    doc="Precomputed tick live-index for neighbour queries",
-    anchor="DESIGN.md §11",
-)
-register(
     "REPRO_MOBILITY_MEMO",
     values="`0` disables",
     default="1",

@@ -58,8 +58,8 @@ class TestExpiry:
 class TestFreshnessPredicate:
     """Regression: the freshness predicate used to be duplicated between
     live_mask and mean_degree (and could drift in expiry/boundary
-    semantics); all consumers — including the interval live index — now
-    route through :func:`freshness_mask`, boundary inclusive."""
+    semantics); all consumers now route through :func:`freshness_mask`,
+    boundary inclusive."""
 
     def test_boundary_time_is_still_fresh(self):
         # An entry seen exactly ``expiry`` ago is live (<=, not <).
@@ -79,23 +79,21 @@ class TestFreshnessPredicate:
         assert tables.degree(0, past) == 0
         assert tables.mean_degree(past) == 0.0
 
-    def test_indexed_tables_agree_with_scan_at_boundary(self):
+    def test_restored_tables_agree_at_boundary(self):
+        """A restored snapshot answers boundary queries exactly like
+        tables that computed the round themselves."""
         from repro.manet import make_scenarios
         from repro.manet.runtime import ScenarioRuntime
 
         scenario = make_scenarios(100, n_networks=1, n_nodes=12)[0]
         runtime = ScenarioRuntime(scenario)
-        indexed = NeighborTables(
-            12, scenario.sim, runtime.mobility, runtime=runtime,
-            use_live_index=True,
+        restored = NeighborTables(
+            12, scenario.sim, runtime.mobility, runtime=runtime
         )
-        scanned = NeighborTables(
-            12, scenario.sim, runtime.mobility, runtime=runtime,
-            use_live_index=False,
-        )
+        computed = NeighborTables(12, scenario.sim, runtime.mobility)
         t0 = runtime.beacon_times[0]
-        indexed.beacon_round(t0)
-        scanned.beacon_round(t0)
+        restored.beacon_round(t0)
+        computed.beacon_round(t0)
         for t in (
             t0,
             t0 + scenario.sim.neighbor_expiry_s,
@@ -104,10 +102,10 @@ class TestFreshnessPredicate:
         ):
             for i in range(12):
                 np.testing.assert_array_equal(
-                    indexed.live_mask(i, t), scanned.live_mask(i, t)
+                    restored.live_mask(i, t), computed.live_mask(i, t)
                 )
-                assert indexed.degree(i, t) == scanned.degree(i, t)
-            assert indexed.mean_degree(t) == scanned.mean_degree(t)
+                assert restored.degree(i, t) == computed.degree(i, t)
+            assert restored.mean_degree(t) == computed.mean_degree(t)
 
 
 class TestLinkLoss:

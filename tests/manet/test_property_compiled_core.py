@@ -1,16 +1,16 @@
 """Differential bit-identity properties for the compiled event core.
 
-Hypothesis (derandomized, mirroring test_property_protocol_path.py)
+Hypothesis (derandomized, mirroring test_property_tables.py)
 over the DESIGN.md §14 contract: for *random* scenarios, parameter
 vectors, densities, and mobility models, a simulator running through
 the compiled kernel must be observationally indistinguishable from the
-pure-Python reference —
+pure-Python per-event reference —
 
 * byte-identical :class:`BroadcastMetrics`;
 * identical protocol decision logs (exact formatted strings);
 * identical RNG draw counts (the kernel replays the same uniform
   stream in the same order);
-* identical event/transmission/resolution/batch counters.
+* identical event/transmission/resolution counters.
 
 Mobility models outside the kernel's support (random-waypoint,
 gauss-markov) must *fall back* with a recorded reason and still match
@@ -111,14 +111,6 @@ def assert_identical(reference, candidate):
     assert candidate.queue.fired == reference.queue.fired
     assert candidate.medium.transmission_count == reference.medium.transmission_count
     assert candidate.medium.resolved_count == reference.medium.resolved_count
-    assert (
-        candidate.protocol.batch_frames_vector
-        == reference.protocol.batch_frames_vector
-    )
-    assert (
-        candidate.protocol.batch_frames_scalar
-        == reference.protocol.batch_frames_scalar
-    )
 
 
 class TestCompiledEqualsPure:
@@ -160,8 +152,8 @@ class TestCompiledEqualsPure:
 
     @pytest.mark.parametrize("params", CORNER_PARAMS, ids=range(4))
     def test_corner_vectors_on_a_dense_network(self, params):
-        """32 nodes pushes deliveries over the scalar/vector batch
-        cutover and the zero-delay corner forces collision chains."""
+        """32 nodes gives frames many receivers at once, and the
+        zero-delay corner forces collision chains."""
         scenario = scenario_for(7, 32, "random-walk")
         reference, candidate = run_pair(scenario, params)
         assert candidate.compiled_active, candidate.compiled_reason

@@ -103,106 +103,59 @@ class TestBitIdenticalMetrics:
 
 
 class TestVectorisedWarmPath:
-    """PR 5 (DESIGN.md §11): the batched delivery path and the interval
-    live-mask index must be invisible in the results — metrics AND
-    decision logs bit-identical to the per-event / scanned path, with
-    and without a runtime."""
-
-    MODES = [(True, True), (True, False), (False, True)]
-
-    @pytest.mark.parametrize("density", [100, 300])
-    def test_batched_and_indexed_paths_are_bit_identical(self, density):
-        scenario = make_scenarios(density, n_networks=1)[0]
-        runtime = ScenarioRuntime(scenario)
-        for params in PARAM_SETS:
-            ref = BroadcastSimulator(
-                scenario, params, batched=False, live_index=False,
-                record_decisions=True,
-            )
-            expected = ref.run()
-            for rt in (None, runtime):
-                for batched, live_index in self.MODES:
-                    sim = BroadcastSimulator(
-                        scenario, params, runtime=rt,
-                        batched=batched, live_index=live_index,
-                        record_decisions=True,
-                    )
-                    assert sim.run() == expected
-                    assert sim.protocol.decisions == ref.protocol.decisions
-
-    @pytest.mark.parametrize("mobility_model", MOBILITY_MODELS)
-    def test_batched_across_mobility_models(self, mobility_model):
-        scenario = make_scenarios(
-            200, n_networks=1, mobility_model=mobility_model
-        )[0]
-        runtime = ScenarioRuntime(scenario)
-        params = PARAM_SETS[1]
-        plain = BroadcastSimulator(
-            scenario, params, batched=False, live_index=False
-        ).run()
-        batched = BroadcastSimulator(
-            scenario, params, runtime=runtime, batched=True, live_index=True
-        ).run()
-        assert plain == batched
+    """The warm path — restored snapshots, memoised positions, and the
+    vectorised frame resolution on top of them — must be invisible in
+    the results: metrics AND decision logs bit-identical to the
+    runtime-less path."""
 
     def test_colliding_frames_are_bit_identical(self):
         """Near-zero delays force overlapping frames, exercising the
-        batch mode's subset interference path against the stacked one."""
+        stacked interference computation on memoised positions."""
         scenario = make_scenarios(300, n_networks=1)[0]
         runtime = ScenarioRuntime(scenario)
         params = AEDBParams(0.0, 0.05, -70.0, 0.0, 0.0)
-        ref = BroadcastSimulator(
-            scenario, params, batched=False, live_index=False,
-            record_decisions=True,
-        )
+        ref = BroadcastSimulator(scenario, params, record_decisions=True)
         expected = ref.run()
         sim = BroadcastSimulator(
-            scenario, params, runtime=runtime, batched=True, live_index=True,
-            record_decisions=True,
+            scenario, params, runtime=runtime, record_decisions=True,
+            compiled="off",
         )
         assert sim.run() == expected
         assert sim.protocol.decisions == ref.protocol.decisions
 
-    def test_shared_segment_serves_the_interval_index(self):
-        """A worker attached to a SharedRuntimeArena segment must serve
-        indexed queries from the packed arrays, bit-identical to a
-        locally built runtime."""
-        from repro.manet.shared import SharedRuntimeArena, attach_runtime
+    def test_second_run_reads_positions_from_the_memo(self, monkeypatch):
+        """Regression: frame midpoints must go through the runtime's
+        position memo.  A repeat of the same (scenario, params) resolves
+        the same frames at the same midpoints, so it must not query the
+        trace at all."""
+        scenario = make_scenarios(
+            300, n_networks=1, n_nodes=30, mobility_model="random-waypoint"
+        )[0]
+        runtime = ScenarioRuntime(scenario)
+        params = AEDBParams(0.0, 0.4, -78.0, 0.3, 3.0)
+        first = BroadcastSimulator(scenario, params, runtime=runtime)
+        expected = first.run()
+        assert not first.compiled_active
+        assert first.medium.resolved_count > 0
+        calls = []
+        trace_positions_at = runtime.mobility.positions_at
+        monkeypatch.setattr(
+            runtime.mobility,
+            "positions_at",
+            lambda t: calls.append(t) or trace_positions_at(t),
+        )
+        second = BroadcastSimulator(scenario, params, runtime=runtime).run()
+        assert calls == []
+        assert second == expected
 
-        scenario = make_scenarios(100, n_networks=1, n_nodes=10)[0]
-        local = ScenarioRuntime(scenario)
-        arena = SharedRuntimeArena.create([scenario])
-        if arena is None:  # pragma: no cover - no shared memory host
-            pytest.skip("no shared memory on this host")
-        try:
-            attached = attach_runtime(scenario, arena.handle_for(scenario))
-            assert attached.shared
-            for k, t in enumerate(local.beacon_times):
-                mine = local.live_index_at(k)
-                theirs = attached.live_index_at(k)
-                np.testing.assert_array_equal(mine.values, theirs.values)
-                np.testing.assert_array_equal(mine.live, theirs.live)
-                np.testing.assert_array_equal(mine.degrees, theirs.degrees)
-                np.testing.assert_array_equal(mine.totals, theirs.totals)
-                for arr in (theirs.values, theirs.live, theirs.degrees):
-                    assert not arr.flags.writeable
-            expected = BroadcastSimulator(scenario, PARAM_SETS[0]).run()
-            got = BroadcastSimulator(
-                scenario, PARAM_SETS[0], runtime=attached
-            ).run()
-            assert got == expected
-        finally:
-            arena.close()
-
-    def test_off_grid_round_disables_the_index(self):
-        """After the timeline diverges, queries must fall back to the
-        scan and match a runtime-less table exactly."""
+    def test_queries_after_off_grid_round_match_recompute(self):
+        """After the timeline diverges, queries must match a
+        runtime-less table exactly."""
         scenario = make_scenarios(100, n_networks=1)[0]
         runtime = ScenarioRuntime(scenario)
         mobility = scenario.build_mobility()
         with_rt = NeighborTables(
-            scenario.n_nodes, scenario.sim, mobility, runtime=runtime,
-            use_live_index=True,
+            scenario.n_nodes, scenario.sim, mobility, runtime=runtime
         )
         without_rt = NeighborTables(scenario.n_nodes, scenario.sim, mobility)
         t0 = runtime.beacon_times[0]
@@ -216,25 +169,23 @@ class TestVectorisedWarmPath:
                 )
             assert with_rt.mean_degree(q) == without_rt.mean_degree(q)
 
-    def test_queries_before_the_tick_fall_back_to_the_scan(self):
-        """The index prunes values already expired at its tick; a query
-        looking *before* the tick (where those values could still be
-        live) must not be served from it."""
+    def test_queries_before_the_tick_match_recompute(self):
+        """Restored snapshots keep every entry, so a query looking
+        *before* the current tick still matches a runtime-less table."""
         scenario = make_scenarios(100, n_networks=1, n_nodes=10)[0]
         runtime = ScenarioRuntime(scenario)
         tables = NeighborTables(
-            10, scenario.sim, runtime.mobility, runtime=runtime,
-            use_live_index=True,
+            10, scenario.sim, runtime.mobility, runtime=runtime
         )
-        scanned = NeighborTables(10, scenario.sim, runtime.mobility)
+        computed = NeighborTables(10, scenario.sim, runtime.mobility)
         # Replay several ticks so old last_seen values exist.
         for t in runtime.beacon_times[:5]:
             tables.beacon_round(t)
-            scanned.beacon_round(t)
+            computed.beacon_round(t)
         t_query = runtime.beacon_times[0]  # before the current tick
         for i in range(10):
             np.testing.assert_array_equal(
-                tables.live_mask(i, t_query), scanned.live_mask(i, t_query)
+                tables.live_mask(i, t_query), computed.live_mask(i, t_query)
             )
 
 

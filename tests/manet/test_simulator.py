@@ -5,8 +5,10 @@ import pytest
 
 from repro.manet.aedb import AEDBParams
 from repro.manet.metrics import BroadcastMetrics, aggregate_metrics
+from repro.manet.runtime import ScenarioRuntime
 from repro.manet.scenarios import make_scenarios
 from repro.manet.simulator import BroadcastSimulator, simulate_broadcast
+from repro.telemetry import MemoryRecorder, using
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +142,46 @@ class TestScenarios:
             make_scenarios(100, n_networks=0)
         with pytest.raises(ValueError):
             nodes_for_density(-5)
+
+
+class TestCompiledFallbackTelemetry:
+    """Under ``REPRO_TELEMETRY=deep`` every pure-path run counts
+    ``sim.compiled_fallback`` once, tagged with the reason it did not run
+    compiled; a compiled run counts nothing."""
+
+    def _run(self, monkeypatch, mobility_model):
+        monkeypatch.setenv("REPRO_TELEMETRY", "deep")
+        monkeypatch.setenv("REPRO_COMPILED", "auto")
+        scenario = make_scenarios(
+            100, n_networks=1, n_nodes=12, mobility_model=mobility_model
+        )[0]
+        rec = MemoryRecorder()
+        with using(rec):
+            sim = BroadcastSimulator(
+                scenario, AEDBParams(), runtime=ScenarioRuntime(scenario)
+            )
+            sim.run()
+        fallbacks = {
+            dict(attrs)["reason"]: n
+            for (name, attrs), n in rec.counters.items()
+            if name == "sim.compiled_fallback"
+        }
+        return sim, fallbacks
+
+    def test_unsupported_mobility_counts_one_fallback(self, monkeypatch):
+        # Report the extension as usable, so the run falls back at the
+        # mobility precondition whether or not the kernel is built (the
+        # precondition is checked before the kernel could be called).
+        import repro.manet.simulator as simulator_mod
+
+        monkeypatch.setattr(simulator_mod, "compiled_core_available", lambda: True)
+        sim, fallbacks = self._run(monkeypatch, "gauss-markov")
+        assert not sim.compiled_active
+        assert fallbacks == {sim.compiled_reason: 1}
+        assert sim.compiled_reason.startswith("unsupported mobility model")
+
+    @pytest.mark.compiled
+    def test_compiled_run_counts_no_fallback(self, monkeypatch):
+        sim, fallbacks = self._run(monkeypatch, "random-walk")
+        assert sim.compiled_active
+        assert fallbacks == {}
