@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser("tune", help="run AEDB-MLS")
     tune.add_argument("--density", type=int, default=100)
     tune.add_argument(
-        "--engine", choices=("serial", "threads", "processes"), default=None
+        "--engine", choices=("serial", "processes"), default=None
     )
 
     comp = sub.add_parser("compare", help="algorithm comparison campaign")

@@ -13,9 +13,11 @@ The algorithm (Sect. IV):
 * every ``reset_iterations`` iterations a population re-initialises all
   its solutions from the archive (diversity + inter-population
   collaboration);
-* execution engines: ``serial`` (deterministic reference), ``threads``
-  (shared memory), ``processes`` (message passing between populations and
-  the archive — the paper's hybrid MPI+pthreads model).
+* execution engines: ``serial`` (deterministic reference) and
+  ``processes`` (one process per population, message passing to the
+  archive — the paper's hybrid MPI+pthreads model).  Both step each
+  population's T procedures with one lockstep schedule
+  (:class:`~repro.core.localsearch.PopulationSchedule`).
 """
 
 from repro.core.config import MLSConfig

@@ -14,7 +14,7 @@ from repro.utils.validation import check_in_range, check_positive
 
 __all__ = ["MLSConfig"]
 
-_ENGINES = ("serial", "threads", "processes")
+_ENGINES = ("serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class MLSConfig:
     archive_capacity: int = 100
     #: AGA grid bisections per objective.
     archive_bisections: int = 5
-    #: Execution engine: "serial", "threads" or "processes".
+    #: Execution engine: "serial" or "processes".
     engine: str = "serial"
     #: Attempts at drawing a feasible initial solution before accepting an
     #: infeasible one (each attempt costs one evaluation).
@@ -47,10 +47,6 @@ class MLSConfig:
     #: Ablation switch: replace the published (downward-biased) Eq. 2
     #: span ``3ρ − 2`` with the zero-mean ``3ρ − 1.5``.
     symmetric_blx: bool = False
-    #: Intra-population scheduling inside each worker of the process
-    #: engine: "cooperative" (GIL-friendly round-robin; default) or
-    #: "threads" (real OS threads — see engines/cooperative.py).
-    process_worker: str = "cooperative"
 
     def __post_init__(self) -> None:
         check_positive(self.n_populations, "n_populations")
@@ -64,11 +60,6 @@ class MLSConfig:
         if self.engine not in _ENGINES:
             raise ValueError(
                 f"engine must be one of {_ENGINES}, got {self.engine!r}"
-            )
-        if self.process_worker not in ("cooperative", "threads"):
-            raise ValueError(
-                "process_worker must be 'cooperative' or 'threads', "
-                f"got {self.process_worker!r}"
             )
         if self.criterion_weights is not None:
             if len(self.criterion_weights) != 3:

@@ -1,25 +1,23 @@
 """Execution engines for AEDB-MLS.
 
-The same local-search procedure (:mod:`repro.core.localsearch`) runs under
-three concurrency models:
+Both engines step every population with the same
+:class:`~repro.core.localsearch.PopulationSchedule`; they differ in where
+populations run and where the archive lives:
 
-* :mod:`~repro.core.engines.serial` — deterministic round-robin in one
-  thread; the reference semantics used by the test suite;
-* :mod:`~repro.core.engines.threads` — one OS thread per procedure,
-  shared-memory populations and a lock-guarded shared archive;
-* :mod:`~repro.core.engines.processes` — one OS process per population
-  (threads inside), with the archive hosted by the parent and reached by
-  message passing — the paper's hybrid MPI + pthreads model.
+* :mod:`~repro.core.engines.serial` — every population in one thread
+  around a local archive; the deterministic reference semantics used by
+  the test suite;
+* :mod:`~repro.core.engines.processes` — one OS process per population,
+  with the archive hosted by the parent and reached by message passing —
+  the paper's hybrid deployment model.
 """
 
 from repro.core.engines.processes import ProcessEngine
 from repro.core.engines.serial import SerialEngine
-from repro.core.engines.threads import ThreadEngine
 
 ENGINES = {
     "serial": SerialEngine,
-    "threads": ThreadEngine,
     "processes": ProcessEngine,
 }
 
-__all__ = ["SerialEngine", "ThreadEngine", "ProcessEngine", "ENGINES"]
+__all__ = ["SerialEngine", "ProcessEngine", "ENGINES"]

@@ -6,14 +6,15 @@ archive, and shared-memory is used in the collaboration between solutions
 in the same population" (Sect. IV).
 
 Topology here: one OS **process per population**, each running its T
-local-search threads via :func:`~repro.core.engines.threads.run_population_threaded`;
-the parent process hosts the Adaptive Grid Archive and serves ``add`` /
-``sample`` requests over per-population pipes.  Solutions cross the
-process boundary as plain ``(variables, objectives, violation)`` tuples.
+procedures through :func:`~repro.core.localsearch.run_population` (the
+same population schedule as the serial engine); the parent process hosts
+the Adaptive Grid Archive and serves ``add`` / ``sample`` requests over
+per-population pipes.  Solutions cross the process boundary as plain
+``(variables, objectives, violation)`` tuples.
 
-The archive protocol is deliberately identical to the serial/thread
-engines' :class:`~repro.core.localsearch.ArchivePort`, so the algorithm
-code cannot tell which engine it runs under.
+The workers reach the archive through the same
+:class:`~repro.core.localsearch.ArchivePort` the serial engine binds
+locally, so the algorithm code cannot tell which engine it runs under.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ from multiprocessing.connection import Connection, wait as mp_wait
 import numpy as np
 
 from repro.core.config import MLSConfig
-from repro.core.engines.cooperative import run_population_cooperative
-from repro.core.engines.threads import run_population_threaded
-from repro.core.localsearch import ArchivePort
-from repro.moo.archive import AdaptiveGridArchive
+from repro.core.localsearch import ArchivePort, make_archive, run_population
 from repro.moo.problem import Problem
 from repro.moo.solution import FloatSolution
 from repro.utils.rng import RngFactory
@@ -55,13 +53,14 @@ def _unpack(payload: tuple) -> FloatSolution:
 class _PipeArchiveClient(ArchivePort):
     """Archive port that forwards operations over a pipe.
 
-    The population's threads share one connection; a lock serialises
-    message sequences (pipe messages must not interleave).  ``add`` is
-    fire-and-forget — its boolean result only feeds per-thread statistics,
-    and a blocking round trip per evaluation would serialise the workers
-    on the archive server.  The optimistic ``True`` makes the local
-    ``archived`` counters upper bounds; the authoritative counts live in
-    the server-side archive.
+    The population's procedures share one connection.  The lock keeps a
+    ``sample`` request and its reply together should a port ever be used
+    from more than one thread; the population schedule itself is
+    single-threaded.  ``add`` is fire-and-forget — its boolean result only
+    feeds per-procedure statistics, and a blocking round trip per
+    evaluation would serialise the workers on the archive server.  The
+    optimistic ``True`` makes the local ``archived`` counters upper
+    bounds; the authoritative counts live in the server-side archive.
     """
 
     def __init__(self, conn: Connection):
@@ -88,24 +87,15 @@ def _population_worker(
     seed: int,
     conn: Connection,
 ) -> None:
-    """Process entry point: run one population, then report stats.
-
-    The intra-population schedule is selected by
-    ``config.process_worker``: cooperative round-robin (default,
-    GIL-friendly) or real OS threads — see
-    :mod:`repro.core.engines.cooperative` for the rationale.
-    """
+    """Process entry point: run one population, then report stats."""
     try:
-        factory = RngFactory(seed)
-        port = _PipeArchiveClient(conn)
-        if config.process_worker == "threads":
-            stats = run_population_threaded(
-                problem, config, population_index, port, factory
-            )
-        else:
-            stats = run_population_cooperative(
-                problem, config, population_index, port, factory
-            )
+        stats = run_population(
+            problem,
+            config,
+            population_index,
+            _PipeArchiveClient(conn),
+            RngFactory(seed),
+        )
         conn.send(("done", stats))
     except BaseException as exc:  # surfaced in the parent
         conn.send(("error", repr(exc)))
@@ -118,12 +108,6 @@ class ProcessEngine:
 
     name = "processes"
 
-    def __init__(self, start_method: str | None = None):
-        #: ``fork`` (default on Linux) shares the problem by COW memory;
-        #: ``spawn`` pickles it — both are supported, problems are
-        #: picklable by construction.
-        self.start_method = start_method
-
     def run(
         self,
         problem: Problem,
@@ -131,14 +115,11 @@ class ProcessEngine:
         seed: int = 0,
     ) -> tuple[list[FloatSolution], dict]:
         """Execute a full AEDB-MLS run; return (archive members, stats)."""
-        ctx = mp.get_context(self.start_method)
+        # The platform's default start method: ``fork`` shares the
+        # problem by copy-on-write memory, ``spawn`` pickles it.
+        ctx = mp.get_context()
         factory = RngFactory(seed)
-        archive = AdaptiveGridArchive(
-            capacity=config.archive_capacity,
-            n_objectives=problem.n_objectives,
-            bisections=config.archive_bisections,
-            rng=factory.generator("archive"),
-        )
+        archive = make_archive(problem, config, factory)
 
         parent_conns: list[Connection] = []
         processes: list[mp.process.BaseProcess] = []
@@ -198,14 +179,8 @@ class ProcessEngine:
 
         stats = {
             "engine": self.name,
-            "evaluations": int(
-                np.sum(
-                    [
-                        proc_stats["evaluations"]
-                        for pop in per_population
-                        for proc_stats in pop
-                    ]
-                )
+            "evaluations": sum(
+                s["evaluations"] for pop in per_population for s in pop
             ),
             "archive_size": len(archive),
             "archive_messages": messages,

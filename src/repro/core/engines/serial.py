@@ -1,25 +1,15 @@
 """Serial (deterministic) AEDB-MLS engine.
 
-Populations and their procedures are stepped round-robin in a single
-thread.  Because every procedure advances one iteration per round, the
-reset condition fires for a whole population in the same round — exactly
-the synchronised semantics the concurrent engines implement with
-barriers.  Given a seed, runs are bit-for-bit reproducible, which makes
-this engine the behavioural reference for the tests.
+Every population runs a :class:`~repro.core.localsearch.PopulationSchedule`
+in one thread: all populations initialise in order, then take rounds in
+turn.  Given a seed, runs are bit-for-bit reproducible, which makes this
+engine the behavioural reference for the tests.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import MLSConfig
-from repro.core.localsearch import (
-    ArchivePort,
-    LocalSearchProcedure,
-    Population,
-    drain_population,
-)
-from repro.moo.archive import AdaptiveGridArchive
+from repro.core.localsearch import ArchivePort, PopulationSchedule, make_archive
 from repro.moo.problem import Problem
 from repro.moo.solution import FloatSolution
 from repro.utils.rng import RngFactory
@@ -40,59 +30,27 @@ class SerialEngine:
     ) -> tuple[list[FloatSolution], dict]:
         """Execute a full AEDB-MLS run; return (archive members, stats)."""
         factory = RngFactory(seed)
-        archive = AdaptiveGridArchive(
-            capacity=config.archive_capacity,
-            n_objectives=problem.n_objectives,
-            bisections=config.archive_bisections,
-            rng=factory.generator("archive"),
-        )
+        archive = make_archive(problem, config, factory)
         port = ArchivePort(archive.add, archive.sample)
+        schedules = [
+            PopulationSchedule(problem, config, p, port, factory)
+            for p in range(config.n_populations)
+        ]
 
-        populations: list[Population] = []
-        procedures: list[list[LocalSearchProcedure]] = []
-        reset_rngs: list[np.random.Generator] = []
-        for p in range(config.n_populations):
-            population = Population(config.threads_per_population)
-            procs = [
-                LocalSearchProcedure(
-                    problem,
-                    config,
-                    population,
-                    slot=t,
-                    archive=port,
-                    rng=factory.generator("mls", p, t),
-                )
-                for t in range(config.threads_per_population)
-            ]
-            populations.append(population)
-            procedures.append(procs)
-            reset_rngs.append(factory.generator("reset", p))
+        for schedule in schedules:
+            schedule.initialise()
+        while not all(schedule.done for schedule in schedules):
+            for schedule in schedules:
+                schedule.step_round()
 
-        for procs in procedures:
-            for proc in procs:
-                proc.initialise()
-
-        resets = 0
-        while any(not proc.done for procs in procedures for proc in procs):
-            for p, procs in enumerate(procedures):
-                live = [proc for proc in procs if not proc.done]
-                for proc in live:
-                    proc.step()
-                # All live procedures share the iteration count in this
-                # round-robin schedule; one check covers the population.
-                if live and live[0].needs_reset() and len(archive):
-                    drain_population(procs, port, reset_rngs[p])
-                    resets += 1
-
+        per_population = [schedule.stats() for schedule in schedules]
         stats = {
             "engine": self.name,
             "evaluations": sum(
-                proc.evaluations for procs in procedures for proc in procs
+                s["evaluations"] for pop in per_population for s in pop
             ),
-            "population_resets": resets,
+            "population_resets": sum(s.resets for s in schedules),
             "archive_size": len(archive),
-            "per_population": [
-                [proc.stats() for proc in procs] for procs in procedures
-            ],
+            "per_population": per_population,
         }
         return [m.copy() for m in archive.members], stats

@@ -11,10 +11,11 @@ its solution iteratively:
 4. on the reset condition, replace the owned solution with an archive
    sample (the engine coordinates the population-wide synchronisation).
 
-The procedure is engine-agnostic: the engine supplies a population view,
-an archive port (add/sample callables) and the RNG stream, then calls
-:meth:`initialise` / :meth:`step` under whatever concurrency model it
-implements.
+A :class:`PopulationSchedule` steps one population's T procedures in
+lockstep: one :meth:`~LocalSearchProcedure.step` per live procedure per
+round, then the population-wide reset when the round reaches the reset
+condition.  Both engines run this schedule; they differ only in where
+the archive lives (DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -26,18 +27,27 @@ import numpy as np
 from repro.core.config import MLSConfig
 from repro.core.criteria import select_criterion
 from repro.core.operators import blx_alpha_step
+from repro.moo.archive import AdaptiveGridArchive
 from repro.moo.problem import Problem
 from repro.moo.solution import FloatSolution
-from repro.utils.rng import as_generator
+from repro.utils.rng import RngFactory, as_generator
 
-__all__ = ["ArchivePort", "Population", "LocalSearchProcedure"]
+__all__ = [
+    "ArchivePort",
+    "Population",
+    "LocalSearchProcedure",
+    "PopulationSchedule",
+    "drain_population",
+    "make_archive",
+    "run_population",
+]
 
 
 class ArchivePort:
     """The two archive operations a procedure needs.
 
-    Engines bind these to a local AGA instance (serial/threads) or to a
-    message channel toward the archive server (processes).
+    The serial engine binds these to a local AGA instance; the process
+    engine to a pipe toward the archive server in the parent.
     """
 
     def __init__(
@@ -60,10 +70,8 @@ class ArchivePort:
 class Population:
     """A fixed-size slot array shared by the procedures of one population.
 
-    Engines that run procedures concurrently must guard :meth:`set_slot`
-    and :meth:`peer_of` with their own synchronisation if their memory
-    model requires it (CPython list item assignment is atomic, which the
-    thread engine relies on).
+    The procedures of a population run in one thread (see
+    :class:`PopulationSchedule`), so the slots need no synchronisation.
     """
 
     def __init__(self, size: int):
@@ -223,9 +231,8 @@ def drain_population(
 ) -> int:
     """Population-wide reset: every procedure restarts from the archive.
 
-    Returns the number of procedures reset.  Shared by the serial and
-    thread engines (the process engine performs the same logic inside the
-    worker process).
+    Returns the number of procedures reset.  Called by
+    :meth:`PopulationSchedule.step_round`.
     """
     live = [p for p in procedures if not p.done]
     if not live:
@@ -234,3 +241,91 @@ def drain_population(
     for proc, sample in zip(live, samples):
         proc.reset_from(sample)
     return len(live)
+
+
+class PopulationSchedule:
+    """One population's T procedures stepped in lockstep (paper Fig. 3).
+
+    :meth:`initialise` starts every procedure; each :meth:`step_round`
+    then advances every live procedure by one iteration.  Live procedures
+    therefore share their iteration count, so the reset condition fires
+    for the whole population in the same round, and the round ends with
+    :func:`drain_population`.
+    """
+
+    def __init__(
+        self,
+        problem: Problem,
+        config: MLSConfig,
+        population_index: int,
+        archive: ArchivePort,
+        factory: RngFactory,
+    ):
+        population = Population(config.threads_per_population)
+        self.archive = archive
+        self.procedures = [
+            LocalSearchProcedure(
+                problem,
+                config,
+                population,
+                slot=t,
+                archive=archive,
+                rng=factory.generator("mls", population_index, t),
+            )
+            for t in range(config.threads_per_population)
+        ]
+        self._reset_rng = factory.generator("reset", population_index)
+        #: Population-wide resets performed so far.
+        self.resets = 0
+
+    @property
+    def done(self) -> bool:
+        """True once every procedure has exhausted its budget."""
+        return all(proc.done for proc in self.procedures)
+
+    def initialise(self) -> None:
+        """Fig. 3 lines 1–4: every procedure draws and archives its start."""
+        for proc in self.procedures:
+            proc.initialise()
+
+    def step_round(self) -> None:
+        """One iteration of every live procedure, then the reset check."""
+        live = [proc for proc in self.procedures if not proc.done]
+        for proc in live:
+            proc.step()
+        if live and live[0].needs_reset():
+            drain_population(self.procedures, self.archive, self._reset_rng)
+            self.resets += 1
+
+    def stats(self) -> list[dict]:
+        """Per-procedure counters, in slot order."""
+        return [proc.stats() for proc in self.procedures]
+
+
+def run_population(
+    problem: Problem,
+    config: MLSConfig,
+    population_index: int,
+    archive: ArchivePort,
+    factory: RngFactory,
+) -> list[dict]:
+    """Run one population's schedule to completion; return its stats."""
+    schedule = PopulationSchedule(
+        problem, config, population_index, archive, factory
+    )
+    schedule.initialise()
+    while not schedule.done:
+        schedule.step_round()
+    return schedule.stats()
+
+
+def make_archive(
+    problem: Problem, config: MLSConfig, factory: RngFactory
+) -> AdaptiveGridArchive:
+    """The run's shared Adaptive Grid Archive, seeded from ``factory``."""
+    return AdaptiveGridArchive(
+        capacity=config.archive_capacity,
+        n_objectives=problem.n_objectives,
+        bisections=config.archive_bisections,
+        rng=factory.generator("archive"),
+    )

@@ -13,10 +13,9 @@ parallelised and resumed through ``repro-aedb campaign``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core import AEDBMLS, CellDEMLS
-from repro.core.config import MLSConfig
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.moo.algorithms import (
     PAES,
@@ -71,19 +70,8 @@ def make_algorithm(
         )
     if name == "AEDB-MLS":
         config = scale.mls
-        if mls_engine is not None and mls_engine != config.engine:
-            config = MLSConfig(
-                n_populations=config.n_populations,
-                threads_per_population=config.threads_per_population,
-                evaluations_per_thread=config.evaluations_per_thread,
-                alpha=config.alpha,
-                reset_iterations=config.reset_iterations,
-                archive_capacity=config.archive_capacity,
-                archive_bisections=config.archive_bisections,
-                engine=mls_engine,
-                max_init_attempts=config.max_init_attempts,
-                criterion_weights=config.criterion_weights,
-            )
+        if mls_engine is not None:
+            config = replace(config, engine=mls_engine)
         return AEDBMLS(problem, config, seed=seed)
     if name == "RandomSearch":
         return RandomSearch(

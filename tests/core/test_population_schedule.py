@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import MLSConfig
-from repro.core.engines.cooperative import run_population_cooperative as run_population
 from repro.core.engines.processes import ProcessEngine
 from repro.core.engines.serial import SerialEngine
-from repro.core.localsearch import ArchivePort
+from repro.core.localsearch import ArchivePort, run_population
 from repro.moo.archive import AdaptiveGridArchive
 from repro.utils.rng import RngFactory
 from tests.core.test_localsearch import ToyAEDBLike

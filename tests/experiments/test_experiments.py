@@ -1,5 +1,7 @@
 """Experiment harness: scales, campaigns, artefacts, figures, tables, io."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,8 +122,21 @@ class TestMakeAlgorithm:
 
     def test_mls_engine_override(self, problem):
         scale = get_scale("quick")
-        alg = make_algorithm("AEDB-MLS", problem, scale, 0, mls_engine="threads")
-        assert alg.config.engine == "threads"
+        alg = make_algorithm("AEDB-MLS", problem, scale, 0, mls_engine="processes")
+        assert alg.config.engine == "processes"
+
+    def test_mls_engine_override_keeps_other_fields(self, problem):
+        # Overriding the engine must change the engine and nothing else.
+        quick = get_scale("quick")
+        mls = replace(
+            quick.mls,
+            symmetric_blx=True,
+            criterion_weights=(0.5, 0.25, 0.25),
+            max_init_attempts=3,
+        )
+        scale = replace(quick, mls=mls)
+        alg = make_algorithm("AEDB-MLS", problem, scale, 0, mls_engine="processes")
+        assert alg.config == replace(mls, engine="processes")
 
     def test_unknown_rejected(self, problem):
         with pytest.raises(ValueError):
