@@ -9,7 +9,8 @@ its solution iteratively:
 3. evaluate; if the perturbed solution is *feasible* (broadcast time
    within limit), accept it unconditionally and offer it to the archive;
 4. on the reset condition, replace the owned solution with an archive
-   sample (the engine coordinates the population-wide synchronisation).
+   sample (the population schedule below coordinates the
+   population-wide synchronisation).
 
 A :class:`PopulationSchedule` steps one population's T procedures in
 lockstep: one :meth:`~LocalSearchProcedure.step` per live procedure per
@@ -262,7 +263,7 @@ class PopulationSchedule:
         factory: RngFactory,
     ):
         population = Population(config.threads_per_population)
-        self.archive = archive
+        self._archive = archive
         self.procedures = [
             LocalSearchProcedure(
                 problem,
@@ -294,7 +295,7 @@ class PopulationSchedule:
         for proc in live:
             proc.step()
         if live and live[0].needs_reset():
-            drain_population(self.procedures, self.archive, self._reset_rng)
+            drain_population(self.procedures, self._archive, self._reset_rng)
             self.resets += 1
 
     def stats(self) -> list[dict]:
