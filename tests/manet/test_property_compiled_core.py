@@ -10,7 +10,12 @@ pure-Python per-event reference —
 * identical protocol decision logs (exact formatted strings);
 * identical RNG draw counts (the kernel replays the same uniform
   stream in the same order);
-* identical event/transmission/resolution counters.
+* identical event/transmission/resolution counters;
+* an identical end state: neighbour tables, frame history and in-flight
+  frames, protocol phases and armed timers, the queue's clock and
+  pending events (which stay live: running both queues past the
+  horizon keeps the runs identical), whether the objects are first read
+  before or after ``run()``.
 
 Mobility models outside the kernel's support (random-waypoint,
 gauss-markov) must *fall back* with a recorded reason and still match
@@ -26,6 +31,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.manet import AEDBParams, make_scenarios
+from repro.manet.aedb import AEDBNodeState
+from repro.manet.config import SimulationConfig
 from repro.manet.runtime import ScenarioRuntime
 from repro.manet.simulator import BroadcastSimulator
 
@@ -168,6 +175,139 @@ class TestCompiledEqualsPure:
             (f.sender, f.tx_power_dbm, f.start_s, f.end_s)
             for f in reference.medium.history
         ]
+
+
+def frame_tuples(frames):
+    return [
+        (f.seq, f.sender, f.tx_power_dbm, f.start_s, f.end_s) for f in frames
+    ]
+
+
+def armed_timer_nodes(protocol):
+    return [
+        node
+        for node, handle in enumerate(protocol._timers)
+        if handle is not None and not handle.cancelled
+    ]
+
+
+def assert_same_end_state(reference, candidate):
+    """Every introspectable field of a finished run, compared exactly."""
+    ref_tables, cand_tables = reference.tables, candidate.tables
+    assert cand_tables.rounds_run == ref_tables.rounds_run
+    assert cand_tables.rx_power.tobytes() == ref_tables.rx_power.tobytes()
+    assert cand_tables.last_seen.tobytes() == ref_tables.last_seen.tobytes()
+
+    ref_medium, cand_medium = reference.medium, candidate.medium
+    assert frame_tuples(cand_medium.history) == frame_tuples(ref_medium.history)
+    assert [f.seq for f in cand_medium._active] == [
+        f.seq for f in ref_medium._active
+    ]
+    assert [f.seq for f in cand_medium._recent] == [
+        f.seq for f in ref_medium._recent
+    ]
+    assert cand_medium.energy_dbm_total() == ref_medium.energy_dbm_total()
+
+    ref_proto, cand_proto = reference.protocol, candidate.protocol
+    assert cand_proto.state == ref_proto.state
+    assert cand_proto._state_code.tobytes() == ref_proto._state_code.tobytes()
+    assert cand_proto.first_rx_time.tobytes() == ref_proto.first_rx_time.tobytes()
+    assert (cand_proto.strongest_copy_dbm.tobytes()
+            == ref_proto.strongest_copy_dbm.tobytes())
+    assert cand_proto._heard_from.tobytes() == ref_proto._heard_from.tobytes()
+    assert armed_timer_nodes(cand_proto) == armed_timer_nodes(ref_proto)
+    assert cand_proto.decisions == ref_proto.decisions
+    assert candidate._protocol_rng._i == reference._protocol_rng._i
+
+    assert candidate.queue.now == reference.queue.now
+    assert candidate.queue.fired == reference.queue.fired
+    assert candidate.queue.pending == reference.queue.pending
+
+
+def assert_same_continuation(reference, candidate):
+    """The pending events left at the horizon are live: running both
+    queues on past it (in-flight frames resolve, armed timers fire and
+    forward) keeps the two runs identical."""
+    later = reference._sim.horizon_s + 10.0
+    reference.queue.run_until(later)
+    candidate.queue.run_until(later)
+    assert_same_end_state(reference, candidate)
+
+
+class TestEndStateMatchesPure:
+    """After a compiled ``auto`` run, the simulator's objects hold the
+    state the pure reference leaves, whenever they are first read."""
+
+    @given(
+        params=params_strategy,
+        seed=st.integers(0, 2**16),
+        n_nodes=st.integers(4, 24),
+        density=st.sampled_from((100, 300)),
+    )
+    @SETTINGS
+    def test_objects_read_after_the_run(self, params, seed, n_nodes, density):
+        scenario = scenario_for(seed, n_nodes, "random-walk", density)
+        reference, candidate = run_pair(scenario, params)
+        assert candidate.compiled_active, candidate.compiled_reason
+        assert metric_bytes(candidate.metrics) == metric_bytes(reference.metrics)
+        assert_same_end_state(reference, candidate)
+        assert_same_continuation(reference, candidate)
+
+    @pytest.mark.parametrize("params", CORNER_PARAMS, ids=range(4))
+    def test_corner_vectors_with_pending_frames_and_timers(self, params):
+        scenario = scenario_for(7, 32, "random-walk")
+        reference, candidate = run_pair(scenario, params)
+        assert candidate.compiled_active, candidate.compiled_reason
+        assert_same_end_state(reference, candidate)
+        assert_same_continuation(reference, candidate)
+
+    @pytest.mark.parametrize("params,horizon_s", [
+        (params, horizon_s)
+        for params in (
+            AEDBParams(0.0, 0.0, -70.0, 0.0, 0.0),
+            AEDBParams(0.2, 4.5, -70.0, 1.0, 10.0),
+            AEDBParams(0.0, 0.4, -78.0, 0.3, 3.0),
+        )
+        for horizon_s in (30.001, 30.0025, 31.0)
+        # the zero-delay vector has finished by 31 s
+        if (params.max_delay_s, horizon_s) != (0.0, 31.0)
+    ])
+    def test_horizon_cuts_the_broadcast_short(self, params, horizon_s):
+        """A horizon just past the injection leaves frames in flight
+        and timers armed, so the pending set is not empty."""
+        scenario = make_scenarios(
+            300, n_networks=1, master_seed=7, n_nodes=32,
+            sim=SimulationConfig(horizon_s=horizon_s),
+        )[0]
+        reference, candidate = run_pair(scenario, params)
+        assert candidate.compiled_active, candidate.compiled_reason
+        assert candidate.queue.pending > 0
+        assert metric_bytes(candidate.metrics) == metric_bytes(reference.metrics)
+        assert_same_end_state(reference, candidate)
+        assert_same_continuation(reference, candidate)
+
+    @pytest.mark.parametrize("params", CORNER_PARAMS, ids=range(4))
+    def test_protocol_read_before_the_run(self, params):
+        scenario = scenario_for(5, 20, "random-walk")
+        reference = BroadcastSimulator(
+            scenario, params, runtime=ScenarioRuntime(scenario),
+            record_decisions=True, compiled="off",
+        )
+        reference.metrics = reference.run()
+        candidate = BroadcastSimulator(
+            scenario, params, runtime=ScenarioRuntime(scenario),
+            record_decisions=True, compiled="auto",
+        )
+        protocol = candidate.protocol
+        assert protocol.state == [AEDBNodeState.IDLE] * scenario.n_nodes
+        assert candidate.tables.rounds_run == 0
+        assert candidate.queue.fired == 0
+        candidate.metrics = candidate.run()
+        assert candidate.compiled_active, candidate.compiled_reason
+        assert candidate.protocol is protocol
+        assert metric_bytes(candidate.metrics) == metric_bytes(reference.metrics)
+        assert_same_end_state(reference, candidate)
+        assert_same_continuation(reference, candidate)
 
 
 class TestModeCapture:
