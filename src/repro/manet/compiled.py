@@ -2,12 +2,20 @@
 
 This module is the Python half of ``repro.manet._evcore`` (DESIGN.md
 §14).  It decides whether the compiled core may run (the fallback
-ladder), flattens one :class:`~repro.manet.simulator.BroadcastSimulator`
-into the typed arrays the kernel consumes, and — after the kernel has
-executed the whole broadcast window — writes the end-of-run state back
-into the live simulator objects so that metrics collection, decision
-logs, telemetry counters, and post-run introspection are byte-for-byte
-what the pure-Python reference would have produced.
+ladder) and runs one :class:`~repro.manet.simulator.BroadcastSimulator`'s
+broadcast window through the kernel.  Everything that depends only on
+the scenario runtime — the post-warm neighbour tables, the window
+snapshots, the mobility arrays, the radio constants — is packed once
+per runtime into a :class:`CompiledPlan`; a run fills the five
+parameter slots and hands the kernel fresh output arrays.
+
+The kernel's outputs (:class:`KernelOutputs`) are enough for the
+metrics and the telemetry counters, so evaluation builds no simulator
+objects.  :func:`write_back` turns them into the pure path's object
+state (protocol arrays and phases, decision log, frame history, medium
+counters, neighbour tables, queue clock and pending events) when a
+caller first reads the simulator's objects, byte for byte what the
+pure-Python reference leaves.
 
 Selection (``REPRO_COMPILED``, overridable per simulator via the
 ``compiled=`` argument):
@@ -24,8 +32,7 @@ Selection (``REPRO_COMPILED``, overridable per simulator via the
 The fallback ladder, in order: extension import → ``probe_ops``
 arithmetic self-check (sqrt / FMA-contraction canary / floored-mod
 replica vs numpy) → per-run preconditions (runtime attached, replay RNG
-stream, no per-frame delivery recording, log-distance path loss, static
-or random-walk mobility).  Every rung lands on the pure path with a
+stream, log-distance path loss, static or random-walk mobility).  Every rung lands on the pure path with a
 human-readable reason.
 """
 
@@ -35,6 +42,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.manet.aedb import AEDBNodeState
+from repro.manet.medium import Frame
+from repro.manet.mobility import RandomWalkMobility, StaticMobility
+from repro.manet.propagation import LogDistancePathLoss
+from repro.manet.runtime import UniformStream
 from repro.utils import flags
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -137,19 +149,13 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
     RNG stream, the log-distance model, and a static or random-walk
     trace.  Anything else is the pure path's job.
     """
-    from repro.manet.mobility import RandomWalkMobility, StaticMobility
-    from repro.manet.propagation import LogDistancePathLoss
-    from repro.manet.runtime import UniformStream
-
     if sim.runtime is None:
         return "no ScenarioRuntime attached"
     if type(sim._protocol_rng) is not UniformStream:
         return "protocol rng is not the runtime's replay stream"
-    if sim.medium._record_deliveries:
-        return "per-frame delivery recording requested"
     # ``type is`` (not isinstance): a subclass overriding loss_db must
     # not be silently replaced by the kernel's inlined log-distance.
-    if type(sim.medium._loss) is not LogDistancePathLoss:
+    if type(sim.runtime.path_loss) is not LogDistancePathLoss:
         return "path-loss model is not plain log-distance"
     if type(sim._mobility) not in (StaticMobility, RandomWalkMobility):
         return f"unsupported mobility model {type(sim._mobility).__name__}"
@@ -166,6 +172,13 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
 _N_FPARAMS = 21
 _N_IPARAMS = 8
 _N_COUNTS = 5
+#: The five fparams slots a run's AEDBParams fill; every other slot is
+#: fixed by the runtime.
+_FP_BORDER, _FP_DELAY_LO, _FP_DELAY_HI, _FP_NBR_THRESHOLD, _FP_MARGIN = (
+    range(11, 16)
+)
+#: The two per-run iparams slots.
+_IP_RECORD, _IP_RNG_OFFSET = 3, 7
 
 #: Decision-kind codes emitted by the kernel, formatted here with the
 #: exact f-strings of :class:`~repro.manet.aedb.AEDBProtocol`.
@@ -176,174 +189,233 @@ _DECISION_DROP_TIMER = 3
 _DECISION_FORWARD = 4
 
 
-def _runtime_pack(runtime, n_nodes: int):
-    """Per-runtime marshalling constants, built once and cached.
+class CompiledPlan:
+    """Everything a compiled run needs that depends only on the runtime.
 
-    The raw uniform stream and the window snapshot tuples never change
-    for a given runtime, and the two scratch vectors are the kernel's
-    bridge into numpy's own ``log10``/``power`` ufuncs — reusing them
-    across runs keeps the per-evaluation marshalling cost to a handful
-    of small array constructions.
+    Built once per :class:`~repro.manet.runtime.ScenarioRuntime`, on its
+    first compiled run, and cached on it.  The kernel starts from the
+    post-warm neighbour tables (the snapshot after the last warm-up
+    round, exactly what replaying the warm rounds leaves), takes the
+    window snapshots read-only, and reads the mobility arrays; a run
+    only fills the parameter slots of copies of the two param vectors.
+    The two scratch vectors are the kernel's bridge into numpy's own
+    ``log10``/``power`` ufuncs and are reused by every run.
     """
-    pack = getattr(runtime, "_evcore_pack", None)
-    if pack is None:
-        window_times = np.asarray(runtime.window_times, dtype=np.float64)
+
+    __slots__ = (
+        "fparams", "iparams", "doubles", "start_tables", "window_times",
+        "win_rx", "win_seen", "mobility_arrays", "scratch_a", "scratch_b",
+        "all_nan", "all_minus_inf", "decisions_scratch",
+    )
+
+    def __init__(self, runtime) -> None:
+        scenario = runtime.scenario
+        cfg = runtime.sim
+        radio = cfg.radio
+        loss = runtime.path_loss
+        mobility = runtime.mobility
+        n = scenario.n_nodes
+        if type(mobility) is RandomWalkMobility:
+            mob_mode = 1
+            n_epochs = int(mobility._n_epochs)
+            epoch_s = float(mobility._epoch_s)
+            fold_one = 1 if mobility._fold_is_one_period else 0
+            self.mobility_arrays = (None, mobility._starts, mobility._vel,
+                                    mobility._epoch_has_negative)
+        else:  # StaticMobility (precondition-checked)
+            mob_mode, n_epochs, epoch_s, fold_one = 0, 1, 1.0, 0
+            self.mobility_arrays = (mobility._pos, None, None, None)
+        self.window_times = np.asarray(runtime.window_times, dtype=np.float64)
+        # Radio and protocol constants with the expressions
+        # RadioMedium.__init__ and AEDBProtocol.__init__ hoist; the five
+        # parameter slots are filled per run.
+        self.fparams = np.array(
+            [
+                cfg.warmup_s,
+                cfg.horizon_s,
+                float(radio.frame_airtime_s),
+                float(radio.detection_threshold_dbm),
+                10.0 ** (radio.capture_threshold_db / 10.0),
+                float(radio.min_tx_power_dbm),
+                float(radio.default_tx_power_dbm),
+                float(radio.default_tx_power_dbm),
+                float(loss.reference_distance_m),
+                float(loss.reference_loss_db),
+                10.0 * loss.exponent,
+                np.nan, np.nan, np.nan, np.nan, np.nan,
+                float(radio.detection_threshold_dbm),
+                float(cfg.mac_jitter_s),
+                float(cfg.neighbor_expiry_s),
+                epoch_s,
+                float(mobility.area_side_m),
+            ],
+            dtype=np.float64,
+        )
+        assert self.fparams.size == _N_FPARAMS
+        self.iparams = np.array(
+            [n, scenario.source, len(self.window_times), 0, mob_mode,
+             n_epochs, fold_one, 0],
+            dtype=np.int64,
+        )
+        assert self.iparams.size == _N_IPARAMS
+        self.doubles = np.asarray(runtime.protocol_doubles, dtype=np.float64)
+        self.start_tables = (
+            runtime.table_snapshot(runtime.warm_times[-1])
+            if runtime.warm_times else runtime.initial_tables
+        )
         snaps = [runtime.table_snapshot(t) for t in runtime.window_times]
-        pack = {
-            "doubles": np.asarray(runtime.protocol_doubles, dtype=np.float64),
-            "window_times": window_times,
-            "win_rx": tuple(s[0] for s in snaps),
-            "win_seen": tuple(s[1] for s in snaps),
-            "scratch_a": np.empty(n_nodes),
-            "scratch_b": np.empty(n_nodes),
-        }
-        runtime._evcore_pack = pack
-    return pack
+        self.win_rx = tuple(s[0] for s in snaps)
+        self.win_seen = tuple(s[1] for s in snaps)
+        self.scratch_a = np.empty(n)
+        self.scratch_b = np.empty(n)
+        #: Pristine per-node vectors a run copies (cheaper than np.full).
+        self.all_nan = np.full(n, np.nan)
+        self.all_minus_inf = np.full(n, -np.inf)
+        #: Decision rows of runs that record none: the kernel requires
+        #: the buffer but never writes it.
+        self.decisions_scratch = np.empty((2 * n + 1, 4))
 
 
-def execute_compiled_run(sim: "BroadcastSimulator") -> None:
-    """Run the broadcast window through the kernel and write back.
+def compiled_plan(runtime) -> CompiledPlan:
+    """The runtime's :class:`CompiledPlan`, built on first use."""
+    plan = getattr(runtime, "_evcore_plan", None)
+    if plan is None:
+        plan = runtime._evcore_plan = CompiledPlan(runtime)
+    return plan
 
-    Preconditions (:func:`precondition_blocker`) and the warm beacon
-    replay must already have happened; on return the simulator holds
-    the same end-of-run state — protocol arrays, decision log, RNG
-    cursor, frame history, medium counters, neighbour tables, queue
-    clock/pending set — as a pure-Python ``run()`` would leave.
+
+class KernelOutputs:
+    """What one kernel run leaves behind: the protocol's end-of-run
+    arrays, the frame table, timer deadlines, decision rows, the counter
+    block, and the total energy.
+
+    Metrics and deep-telemetry counters read these directly;
+    :func:`write_back` turns them into the pure path's object state when
+    a caller first reads the simulator's objects.
     """
-    from repro.manet.aedb import AEDBNodeState
-    from repro.manet.medium import Frame
-    from repro.manet.mobility import RandomWalkMobility
 
+    __slots__ = (
+        "first_rx", "strongest", "state_code", "heard_from", "frame_out",
+        "timer_deadline", "decisions", "fired", "n_frames", "n_resolved",
+        "n_decisions", "energy",
+    )
+
+
+def execute_compiled_run(sim: "BroadcastSimulator") -> KernelOutputs:
+    """Run the broadcast window of ``sim`` through the kernel.
+
+    Preconditions (:func:`precondition_blocker`) must hold.  The kernel
+    starts from the runtime's post-warm tables and writes into fresh
+    protocol arrays; the simulator's RNG cursor advances by the draws
+    it made.  When the simulator's objects already exist (a caller read
+    them before the run, after replaying the warm rounds), the kernel
+    starts from and writes into those objects instead, and
+    :func:`write_back` runs at once.
+    """
     ext = _resolve_extension()[0]
     assert ext is not None, "execute_compiled_run without a usable extension"
 
-    runtime = sim.runtime
-    scenario = sim.scenario
-    cfg = sim._sim
-    radio = cfg.radio
-    medium = sim.medium
-    protocol = sim.protocol
-    tables = sim.tables
-    mobility = sim._mobility
-    n = scenario.n_nodes
-    rng = protocol._rng
+    plan = compiled_plan(sim.runtime)
+    params = sim.params
+    rng = sim._protocol_rng
+    n = sim.scenario.n_nodes
 
-    pack = _runtime_pack(runtime, n)
-    window_times = pack["window_times"]
-    W = len(window_times)
-    loss = medium._loss
-    ref_d = float(loss.reference_distance_m)
-    ref_loss = float(loss.reference_loss_db)
-    scale = 10.0 * loss.exponent
+    fparams = plan.fparams.copy()
+    fparams[_FP_BORDER] = params.border_threshold_dbm
+    fparams[_FP_DELAY_LO], fparams[_FP_DELAY_HI] = params.delay_interval
+    fparams[_FP_NBR_THRESHOLD] = params.neighbors_threshold
+    fparams[_FP_MARGIN] = params.margin_threshold_db
+    iparams = plan.iparams.copy()
+    iparams[_IP_RECORD] = 1 if sim._record_decisions else 0
+    iparams[_IP_RNG_OFFSET] = rng._i
 
-    if type(mobility) is RandomWalkMobility:
-        mob_mode = 1
-        n_epochs = int(mobility._n_epochs)
-        epoch_s = float(mobility._epoch_s)
-        fold_one = 1 if mobility._fold_is_one_period else 0
-        static_pos = None
-        walk_starts = mobility._starts
-        walk_vel = mobility._vel
-        walk_neg = mobility._epoch_has_negative
-    else:  # StaticMobility (precondition-checked)
-        mob_mode = 0
-        n_epochs = 1
-        epoch_s = 1.0
-        fold_one = 0
-        static_pos = mobility._pos
-        walk_starts = walk_vel = walk_neg = None
-
-    fparams = np.array(
-        [
-            cfg.warmup_s,
-            cfg.horizon_s,
-            medium._airtime_s,
-            medium._detection_dbm,
-            medium._capture_lin,
-            medium._min_tx,
-            medium._max_tx,
-            float(radio.default_tx_power_dbm),
-            ref_d,
-            ref_loss,
-            scale,
-            protocol._border_dbm,
-            protocol._delay_lo,
-            protocol._delay_hi,
-            protocol._neighbors_threshold,
-            protocol._margin_db,
-            protocol._required_dbm,
-            protocol._mac_jitter_s,
-            float(cfg.neighbor_expiry_s),
-            epoch_s,
-            float(mobility.area_side_m),
-        ],
-        dtype=np.float64,
-    )
-    assert fparams.size == _N_FPARAMS
-    iparams = np.array(
-        [
-            n,
-            scenario.source,
-            W,
-            1 if protocol._record_decisions else 0,
-            mob_mode,
-            n_epochs,
-            fold_one,
-            rng._i,
-        ],
-        dtype=np.int64,
-    )
-    assert iparams.size == _N_IPARAMS
-
-    frame_out = np.empty((4, n))
-    timer_deadline = np.full(n, np.nan)
-    decisions_out = np.empty((2 * n + 1, 4))
+    out = KernelOutputs()
+    if sim._graph_built:
+        protocol, tables = sim.protocol, sim.tables
+        start_rx, start_seen = tables.rx_power, tables.last_seen
+        out.first_rx = protocol.first_rx_time
+        out.strongest = protocol.strongest_copy_dbm
+        out.state_code = protocol._state_code
+        out.heard_from = protocol._heard_from
+    else:
+        start_rx, start_seen = plan.start_tables
+        out.first_rx = plan.all_nan.copy()
+        out.strongest = plan.all_minus_inf.copy()
+        out.state_code = np.zeros(n, dtype=np.int8)
+        out.heard_from = np.zeros((n, n), dtype=bool)
+    out.frame_out = np.empty((4, n))
+    out.timer_deadline = plan.all_nan.copy()
+    out.decisions = (np.empty((2 * n + 1, 4)) if sim._record_decisions
+                     else plan.decisions_scratch)
     counts = np.zeros(_N_COUNTS, dtype=np.int64)
+    static_pos, walk_starts, walk_vel, walk_neg = plan.mobility_arrays
 
-    energy = ext.run_window(
+    out.energy = ext.run_window(
         fparams,
         iparams,
-        pack["doubles"],
-        tables.rx_power,
-        tables.last_seen,
-        window_times,
-        pack["win_rx"],
-        pack["win_seen"],
+        plan.doubles,
+        start_rx,
+        start_seen,
+        plan.window_times,
+        plan.win_rx,
+        plan.win_seen,
         static_pos,
         walk_starts,
         walk_vel,
         walk_neg,
-        pack["scratch_a"],
-        pack["scratch_b"],
+        plan.scratch_a,
+        plan.scratch_b,
         np.log10,
         np.power,
-        protocol.first_rx_time,
-        protocol.strongest_copy_dbm,
-        protocol._state_code,
-        protocol._heard_from,
-        frame_out,
-        timer_deadline,
-        decisions_out,
+        out.first_rx,
+        out.strongest,
+        out.state_code,
+        out.heard_from,
+        out.frame_out,
+        out.timer_deadline,
+        out.decisions,
         counts,
     )
+    fired, out.n_frames, out.n_resolved, draws, out.n_decisions = (
+        counts.tolist()
+    )
+    out.fired = fired
+    rng._i += draws
+    if sim._graph_built:
+        write_back(sim, out)
+    return out
 
-    fired, n_frames, n_resolved, draws, n_dec = counts.tolist()
+
+def write_back(sim: "BroadcastSimulator", out: KernelOutputs) -> None:
+    """Give ``sim``'s objects the end state of the kernel run ``out``.
+
+    The objects must hold the post-warm state (fresh objects with the
+    warm rounds replayed).  On return the protocol arrays, phases,
+    decision log, frame history, medium counters, neighbour tables, and
+    the queue's clock, counters and pending events are what a
+    pure-Python ``run()`` leaves.
+    """
+    protocol = sim.protocol
+    medium = sim.medium
+    tables = sim.tables
+    queue = sim.queue
 
     # -- protocol ----------------------------------------------------- #
-    rng._i += draws
+    protocol.first_rx_time = out.first_rx
+    protocol.strongest_copy_dbm = out.strongest
+    protocol._state_code = out.state_code
+    protocol._heard_from = out.heard_from
     states_by_code = (
         AEDBNodeState.IDLE,
         AEDBNodeState.WAITING,
         AEDBNodeState.DROPPED,
         AEDBNodeState.FORWARDED,
     )
-    state = protocol.state
-    for node, code in enumerate(protocol._state_code.tolist()):
-        state[node] = states_by_code[code]
+    protocol.state[:] = [states_by_code[code] for code in out.state_code.tolist()]
 
-    if protocol._record_decisions and n_dec:
+    if protocol._record_decisions and out.n_decisions:
         append = protocol.decisions.append
-        for t, node_f, kind_f, value in decisions_out[:n_dec].tolist():
+        for t, node_f, kind_f, value in out.decisions[:out.n_decisions].tolist():
             kind = int(kind_f)
             if kind == _DECISION_ARM:
                 label = f"arm:{value:.4f}"
@@ -358,7 +430,9 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
             append((t, int(node_f), label))
 
     # -- medium ------------------------------------------------------- #
+    n_frames = out.n_frames
     airtime = medium._airtime_s
+    frame_out = out.frame_out
     senders = frame_out[0, :n_frames].tolist()
     powers = frame_out[1, :n_frames].tolist()
     starts = frame_out[2, :n_frames].tolist()
@@ -378,33 +452,33 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     medium._recent = [f for f, flag in zip(frames, flags) if flag == 2.0]
     medium._seq = n_frames
     medium._n_frames = n_frames
-    medium._n_resolved = n_resolved
-    medium._energy_dbm = energy
+    medium._n_resolved = out.n_resolved
+    medium._energy_dbm = out.energy
 
     # -- neighbour tables --------------------------------------------- #
     # The kernel consumed the window snapshots read-only; replaying the
     # canonical rounds through the live tables is W O(1) snapshot swaps
     # that land rounds_run, the timeline cursor, and the current-view
     # arrays exactly where the pure event loop leaves them.
-    for t in runtime.window_times:
+    for t in sim.runtime.window_times:
         tables.beacon_round(t)
 
     # -- event queue --------------------------------------------------- #
     # Rebuild the pending set the pure run leaves behind: in-flight
     # frame resolutions and armed timers past the horizon.  (Timers are
     # re-armed through the real scheduler so cancellation handles work.)
-    queue = sim.queue
     for f in medium._active:
         queue.post(f.end_s, lambda t, fr=f: medium._resolve(fr, t))
     timers = protocol._timers
-    for node in np.flatnonzero(protocol._state_code == 1).tolist():
+    for node in np.flatnonzero(out.state_code == 1).tolist():
         timers[node] = queue.schedule(
-            float(timer_deadline[node]),
+            float(out.timer_deadline[node]),
             lambda t, nd=node: protocol._on_timer(nd, t),
         )
+    horizon = sim.scenario.sim.horizon_s
     try:
-        queue._fired = fired
-        queue._now = cfg.horizon_s
+        queue._fired = out.fired
+        queue._now = horizon
     except AttributeError:  # compiled queue: settable properties
-        queue.fired = fired
-        queue.now = cfg.horizon_s
+        queue.fired = out.fired
+        queue.now = horizon

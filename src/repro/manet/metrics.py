@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["BroadcastMetrics", "aggregate_metrics"]
+__all__ = ["BroadcastMetrics", "aggregate_metrics", "broadcast_metrics"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,41 @@ class BroadcastMetrics:
             f"forwardings={self.forwardings:.1f} "
             f"bt={self.broadcast_time_s:.3f}s"
         )
+
+
+def broadcast_metrics(
+    first_rx,
+    source: int,
+    n_frames: int,
+    energy_dbm: float,
+    warmup_s: float,
+    n_nodes: int,
+) -> BroadcastMetrics:
+    """The four metrics of one run, from its end-of-run readout.
+
+    ``first_rx`` holds each node's first-reception time (NaN = never),
+    ``n_frames`` the data frames put on the air (the source's seed frame
+    included) and ``energy_dbm`` their summed TX power.  The one
+    reduction every simulator front-end and both event cores share.
+    """
+    first_rx = np.asarray(first_rx, dtype=float)
+    received_non_source = ~np.isnan(first_rx)
+    received_non_source[source] = False
+    coverage = int(np.count_nonzero(received_non_source))
+    if coverage > 0:
+        # Last first-reception among receivers: the mask selects exactly
+        # the non-NaN entries (excluding the source), so a plain max
+        # equals the nanmax over the masked array.
+        broadcast_time = float(np.max(first_rx[received_non_source])) - warmup_s
+    else:
+        broadcast_time = 0.0
+    return BroadcastMetrics(
+        coverage=float(coverage),
+        energy_dbm=float(energy_dbm),
+        forwardings=float(max(n_frames - 1, 0)),
+        broadcast_time_s=float(broadcast_time),
+        n_nodes=n_nodes,
+    )
 
 
 def aggregate_metrics(samples: list[BroadcastMetrics]) -> BroadcastMetrics:

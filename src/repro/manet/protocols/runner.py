@@ -28,7 +28,7 @@ from repro.manet.beacons import NeighborTables
 from repro.manet.config import SimulationConfig
 from repro.manet.events import make_event_queue
 from repro.manet.medium import Frame, RadioMedium
-from repro.manet.metrics import BroadcastMetrics
+from repro.manet.metrics import BroadcastMetrics, broadcast_metrics
 from repro.manet.mobility import MobilityModel
 from repro.manet.protocols.base import ProtocolContext
 from repro.manet.runtime import (
@@ -119,31 +119,10 @@ class ProtocolSimulator:
 
         self.protocol.start_broadcast(self.scenario.source, sim.warmup_s)
         self.queue.run_until(sim.horizon_s)
-        return self._collect_metrics()
-
-    def _collect_metrics(self) -> BroadcastMetrics:
-        sim = self._sim
-        src = self.scenario.source
-        first_rx = np.asarray(self.protocol.first_rx_time, dtype=float)
-        received_non_source = ~np.isnan(first_rx)
-        received_non_source[src] = False
-        coverage = int(np.count_nonzero(received_non_source))
-
-        forwardings = max(self.medium.transmission_count - 1, 0)
-        energy = self.medium.energy_dbm_total()
-
-        if coverage > 0:
-            bt = float(np.max(first_rx[received_non_source]))
-            broadcast_time = bt - sim.warmup_s
-        else:
-            broadcast_time = 0.0
-
-        return BroadcastMetrics(
-            coverage=float(coverage),
-            energy_dbm=float(energy),
-            forwardings=float(forwardings),
-            broadcast_time_s=float(broadcast_time),
-            n_nodes=self.scenario.n_nodes,
+        return broadcast_metrics(
+            self.protocol.first_rx_time, self.scenario.source,
+            self.medium.transmission_count, self.medium.energy_dbm_total(),
+            sim.warmup_s, self.scenario.n_nodes,
         )
 
 

@@ -7,8 +7,8 @@ Three implementations of one :class:`Recorder` protocol (DESIGN.md §12):
   instrumented hot path with telemetry off costs a handful of attribute
   lookups per *coarse* operation (per simulation, per cell — never per
   event) and allocates nothing.  The fine-grained counters are not even
-  that cheap to skip, so they additionally hide behind a boolean
-  captured at construction (:func:`deep_telemetry_enabled`).
+  that cheap to skip, so they additionally hide behind the mode
+  captured at construction (:func:`telemetry_mode`).
 * :class:`MemoryRecorder` — in-process accumulation (bounded), the
   ambient sink when ``REPRO_TELEMETRY`` is set but nobody installed a
   file-backed recorder (e.g. pool workers), and the unit-test probe.

@@ -182,12 +182,14 @@ class PersistentEvaluationCache:
     seed evaluators and campaign cells use); runs with an explicit
     ``protocol_seed`` must not be cached here.
 
-    Usage::
+    Usage (the shared runtime lets the simulation run compiled)::
 
         cache = PersistentEvaluationCache("runs/evaluations.jsonl")
         hit = cache.get_metrics(scenario, params)
         if hit is None:
-            hit = BroadcastSimulator(scenario, params).run()
+            hit = BroadcastSimulator(
+                scenario, params, runtime=get_runtime(scenario)
+            ).run()
             cache.put_metrics(scenario, params, hit)
     """
 

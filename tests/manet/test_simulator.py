@@ -145,12 +145,13 @@ class TestScenarios:
 
 
 class TestCompiledFallbackTelemetry:
-    """Under ``REPRO_TELEMETRY=deep`` every pure-path run counts
-    ``sim.compiled_fallback`` once, tagged with the reason it did not run
-    compiled; a compiled run counts nothing."""
+    """Under ``REPRO_TELEMETRY=on`` and ``deep`` every pure-path run
+    counts ``sim.compiled_fallback`` once, tagged with the reason it did
+    not run compiled; a compiled run counts nothing, and ``off`` records
+    nothing at all."""
 
-    def _run(self, monkeypatch, mobility_model):
-        monkeypatch.setenv("REPRO_TELEMETRY", "deep")
+    def _run(self, monkeypatch, mobility_model, mode):
+        monkeypatch.setenv("REPRO_TELEMETRY", mode)
         monkeypatch.setenv("REPRO_COMPILED", "auto")
         scenario = make_scenarios(
             100, n_networks=1, n_nodes=12, mobility_model=mobility_model
@@ -168,20 +169,53 @@ class TestCompiledFallbackTelemetry:
         }
         return sim, fallbacks
 
-    def test_unsupported_mobility_counts_one_fallback(self, monkeypatch):
+    def _report_extension_usable(self, monkeypatch):
         # Report the extension as usable, so the run falls back at the
         # mobility precondition whether or not the kernel is built (the
         # precondition is checked before the kernel could be called).
         import repro.manet.simulator as simulator_mod
 
         monkeypatch.setattr(simulator_mod, "compiled_core_available", lambda: True)
-        sim, fallbacks = self._run(monkeypatch, "gauss-markov")
+
+    @pytest.mark.parametrize("mode", ["on", "deep"])
+    def test_unsupported_mobility_counts_one_fallback(self, monkeypatch, mode):
+        self._report_extension_usable(monkeypatch)
+        sim, fallbacks = self._run(monkeypatch, "gauss-markov", mode)
         assert not sim.compiled_active
         assert fallbacks == {sim.compiled_reason: 1}
         assert sim.compiled_reason.startswith("unsupported mobility model")
 
+    def test_off_counts_nothing(self, monkeypatch):
+        self._report_extension_usable(monkeypatch)
+        sim, fallbacks = self._run(monkeypatch, "gauss-markov", "off")
+        assert not sim.compiled_active
+        assert fallbacks == {}
+
     @pytest.mark.compiled
-    def test_compiled_run_counts_no_fallback(self, monkeypatch):
-        sim, fallbacks = self._run(monkeypatch, "random-walk")
+    @pytest.mark.parametrize("mode", ["on", "deep"])
+    def test_compiled_run_counts_no_fallback(self, monkeypatch, mode):
+        sim, fallbacks = self._run(monkeypatch, "random-walk", mode)
         assert sim.compiled_active
         assert fallbacks == {}
+
+    @pytest.mark.compiled
+    def test_deep_counters_come_from_the_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", "deep")
+        scenario = make_scenarios(
+            100, n_networks=1, n_nodes=12, mobility_model="random-walk"
+        )[0]
+        counters = []
+        for compiled in ("auto", "off"):
+            rec = MemoryRecorder()
+            with using(rec):
+                BroadcastSimulator(
+                    scenario, AEDBParams(), runtime=ScenarioRuntime(scenario),
+                    compiled=compiled,
+                ).run()
+            counters.append({
+                name: n for (name, _), n in rec.counters.items()
+                if name in ("sim.events_fired", "sim.frames_transmitted",
+                            "sim.frames_resolved", "sim.runs")
+            })
+        assert counters[0] == counters[1]
+        assert counters[0]["sim.runs"] == 1
