@@ -32,8 +32,8 @@ Selection (``REPRO_COMPILED``, overridable per simulator via the
 The fallback ladder, in order: extension import → ``probe_ops``
 arithmetic self-check (sqrt / FMA-contraction canary / floored-mod
 replica vs numpy) → per-run preconditions (runtime attached, replay RNG
-stream, log-distance path loss, static or random-walk mobility).  Every rung lands on the pure path with a
-human-readable reason.
+stream, log-distance path loss, static or random-walk mobility).  Every
+rung lands on the pure path with a human-readable reason.
 """
 
 from __future__ import annotations
@@ -215,6 +215,7 @@ class CompiledPlan:
         loss = runtime.path_loss
         mobility = runtime.mobility
         n = scenario.n_nodes
+        # The kernel's (static_pos, walk_starts, walk_vel, walk_neg).
         if type(mobility) is RandomWalkMobility:
             mob_mode = 1
             n_epochs = int(mobility._n_epochs)
@@ -307,10 +308,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> KernelOutputs:
     Preconditions (:func:`precondition_blocker`) must hold.  The kernel
     starts from the runtime's post-warm tables and writes into fresh
     protocol arrays; the simulator's RNG cursor advances by the draws
-    it made.  When the simulator's objects already exist (a caller read
-    them before the run, after replaying the warm rounds), the kernel
-    starts from and writes into those objects instead, and
-    :func:`write_back` runs at once.
+    it made.  No simulator object is read or built.
     """
     ext = _resolve_extension()[0]
     assert ext is not None, "execute_compiled_run without a usable extension"
@@ -330,39 +328,25 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> KernelOutputs:
     iparams[_IP_RNG_OFFSET] = rng._i
 
     out = KernelOutputs()
-    if sim._graph_built:
-        protocol, tables = sim.protocol, sim.tables
-        start_rx, start_seen = tables.rx_power, tables.last_seen
-        out.first_rx = protocol.first_rx_time
-        out.strongest = protocol.strongest_copy_dbm
-        out.state_code = protocol._state_code
-        out.heard_from = protocol._heard_from
-    else:
-        start_rx, start_seen = plan.start_tables
-        out.first_rx = plan.all_nan.copy()
-        out.strongest = plan.all_minus_inf.copy()
-        out.state_code = np.zeros(n, dtype=np.int8)
-        out.heard_from = np.zeros((n, n), dtype=bool)
+    out.first_rx = plan.all_nan.copy()
+    out.strongest = plan.all_minus_inf.copy()
+    out.state_code = np.zeros(n, dtype=np.int8)
+    out.heard_from = np.zeros((n, n), dtype=bool)
     out.frame_out = np.empty((4, n))
     out.timer_deadline = plan.all_nan.copy()
     out.decisions = (np.empty((2 * n + 1, 4)) if sim._record_decisions
                      else plan.decisions_scratch)
     counts = np.zeros(_N_COUNTS, dtype=np.int64)
-    static_pos, walk_starts, walk_vel, walk_neg = plan.mobility_arrays
 
     out.energy = ext.run_window(
         fparams,
         iparams,
         plan.doubles,
-        start_rx,
-        start_seen,
+        *plan.start_tables,
         plan.window_times,
         plan.win_rx,
         plan.win_seen,
-        static_pos,
-        walk_starts,
-        walk_vel,
-        walk_neg,
+        *plan.mobility_arrays,
         plan.scratch_a,
         plan.scratch_b,
         np.log10,
@@ -376,24 +360,20 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> KernelOutputs:
         out.decisions,
         counts,
     )
-    fired, out.n_frames, out.n_resolved, draws, out.n_decisions = (
+    out.fired, out.n_frames, out.n_resolved, draws, out.n_decisions = (
         counts.tolist()
     )
-    out.fired = fired
     rng._i += draws
-    if sim._graph_built:
-        write_back(sim, out)
     return out
 
 
 def write_back(sim: "BroadcastSimulator", out: KernelOutputs) -> None:
     """Give ``sim``'s objects the end state of the kernel run ``out``.
 
-    The objects must hold the post-warm state (fresh objects with the
-    warm rounds replayed).  On return the protocol arrays, phases,
-    decision log, frame history, medium counters, neighbour tables, and
-    the queue's clock, counters and pending events are what a
-    pure-Python ``run()`` leaves.
+    The objects must be fresh: nothing has run on them.  On return the
+    protocol arrays, phases, decision log, frame history, medium
+    counters, neighbour tables, and the queue's clock, counters and
+    pending events are what a pure-Python ``run()`` leaves.
     """
     protocol = sim.protocol
     medium = sim.medium
@@ -401,10 +381,12 @@ def write_back(sim: "BroadcastSimulator", out: KernelOutputs) -> None:
     queue = sim.queue
 
     # -- protocol ----------------------------------------------------- #
-    protocol.first_rx_time = out.first_rx
-    protocol.strongest_copy_dbm = out.strongest
-    protocol._state_code = out.state_code
-    protocol._heard_from = out.heard_from
+    # Copied, not adopted: arrays a caller took before the run stay
+    # the protocol's own.
+    np.copyto(protocol.first_rx_time, out.first_rx)
+    np.copyto(protocol.strongest_copy_dbm, out.strongest)
+    np.copyto(protocol._state_code, out.state_code)
+    np.copyto(protocol._heard_from, out.heard_from)
     states_by_code = (
         AEDBNodeState.IDLE,
         AEDBNodeState.WAITING,
@@ -456,11 +438,12 @@ def write_back(sim: "BroadcastSimulator", out: KernelOutputs) -> None:
     medium._energy_dbm = out.energy
 
     # -- neighbour tables --------------------------------------------- #
-    # The kernel consumed the window snapshots read-only; replaying the
-    # canonical rounds through the live tables is W O(1) snapshot swaps
-    # that land rounds_run, the timeline cursor, and the current-view
-    # arrays exactly where the pure event loop leaves them.
-    for t in sim.runtime.window_times:
+    # The kernel consumed the snapshots read-only; replaying the
+    # canonical rounds (warm-up and window) through the live tables is
+    # O(1) snapshot swaps that land rounds_run, the timeline cursor, and
+    # the current-view arrays exactly where the pure event loop leaves
+    # them.
+    for t in sim.runtime.beacon_times:
         tables.beacon_round(t)
 
     # -- event queue --------------------------------------------------- #

@@ -156,9 +156,8 @@ class BroadcastSimulator:
     def _build_graph(self) -> None:
         """Construct the queue, tables, medium and protocol.
 
-        After a compiled run, the objects then take the run's end state:
-        the warm rounds are replayed into the tables and the kernel's
-        outputs are written back (:func:`~repro.manet.compiled.write_back`).
+        After a compiled run, the objects then take the run's end state
+        (:func:`~repro.manet.compiled.write_back`).
         """
         runtime = self.runtime
         self.queue = make_event_queue(self._compiled_mode)
@@ -182,8 +181,6 @@ class BroadcastSimulator:
         )
         self._graph_built = True
         if self._kernel_out is not None:
-            for t in runtime.warm_times:
-                self.tables.beacon_round(t)
             write_back(self, self._kernel_out)
 
     # -- wiring ---------------------------------------------------------- #
@@ -225,11 +222,11 @@ class BroadcastSimulator:
                 # deliveries — in one call.  Metrics come straight from
                 # its outputs; the objects are built only if read.
                 with rec.span("sim.beacon_schedule"):
-                    if self._graph_built:
-                        for t in self.runtime.warm_times:
-                            self.tables.beacon_round(t)
+                    pass  # the warm rounds are the runtime's post-warm tables
                 with rec.span("sim.broadcast_window"):
                     out = self._kernel_out = execute_compiled_run(self)
+                    if self._graph_built:  # objects read before the run
+                        write_back(self, out)
                 first_rx, n_frames, energy = out.first_rx, out.n_frames, out.energy
             else:
                 out = None
