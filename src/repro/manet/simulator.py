@@ -228,17 +228,18 @@ class BroadcastSimulator:
                     if self._graph_built:  # objects read before the run
                         write_back(self, out)
                 first_rx, n_frames, energy = out.first_rx, out.n_frames, out.energy
+                fired, resolved = out.fired, out.n_resolved
             else:
-                out = None
                 with rec.span("sim.beacon_schedule"):
                     run_beacon_schedule(sim, self.runtime, self.tables, self.queue)
 
                 self.protocol.start_broadcast(self.scenario.source, sim.warmup_s)
                 with rec.span("sim.broadcast_window"):
                     self.queue.run_until(sim.horizon_s)
+                medium = self.medium
                 first_rx = self.protocol.first_rx_time
-                n_frames = self.medium.transmission_count
-                energy = self.medium.energy_dbm_total()
+                n_frames, energy = medium.transmission_count, medium.energy_dbm_total()
+                fired, resolved = self.queue.fired, medium.resolved_count
             metrics = broadcast_metrics(
                 first_rx, self.scenario.source, n_frames, energy,
                 sim.warmup_s, n_nodes,
@@ -248,11 +249,6 @@ class BroadcastSimulator:
             # path (the kernel's counter block on the compiled one),
             # shipped as counters once per run — zero recorder traffic
             # inside the event loop.
-            if out is None:
-                fired = self.queue.fired
-                resolved = self.medium.resolved_count
-            else:
-                fired, resolved = out.fired, out.n_resolved
             rec.count("sim.events_fired", fired)
             rec.count("sim.frames_transmitted", n_frames)
             rec.count("sim.frames_resolved", resolved)

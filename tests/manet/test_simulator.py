@@ -1,6 +1,5 @@
 """End-to-end broadcast simulations."""
 
-import numpy as np
 import pytest
 
 from repro.manet.aedb import AEDBParams
@@ -177,13 +176,13 @@ class TestCompiledFallbackTelemetry:
 
         monkeypatch.setattr(simulator_mod, "compiled_core_available", lambda: True)
 
-    @pytest.mark.parametrize("mode", ["on", "deep"])
-    def test_unsupported_mobility_counts_one_fallback(self, monkeypatch, mode):
+    def test_unsupported_mobility_counts_one_fallback(self, monkeypatch):
         self._report_extension_usable(monkeypatch)
-        sim, fallbacks = self._run(monkeypatch, "gauss-markov", mode)
-        assert not sim.compiled_active
-        assert fallbacks == {sim.compiled_reason: 1}
-        assert sim.compiled_reason.startswith("unsupported mobility model")
+        for mode in ("on", "deep"):
+            sim, fallbacks = self._run(monkeypatch, "gauss-markov", mode)
+            assert not sim.compiled_active
+            assert fallbacks == {sim.compiled_reason: 1}, mode
+            assert sim.compiled_reason.startswith("unsupported mobility model")
 
     def test_off_counts_nothing(self, monkeypatch):
         self._report_extension_usable(monkeypatch)
@@ -192,11 +191,11 @@ class TestCompiledFallbackTelemetry:
         assert fallbacks == {}
 
     @pytest.mark.compiled
-    @pytest.mark.parametrize("mode", ["on", "deep"])
-    def test_compiled_run_counts_no_fallback(self, monkeypatch, mode):
-        sim, fallbacks = self._run(monkeypatch, "random-walk", mode)
-        assert sim.compiled_active
-        assert fallbacks == {}
+    def test_compiled_run_counts_no_fallback(self, monkeypatch):
+        for mode in ("on", "deep"):
+            sim, fallbacks = self._run(monkeypatch, "random-walk", mode)
+            assert sim.compiled_active
+            assert fallbacks == {}, mode
 
     @pytest.mark.compiled
     def test_deep_counters_come_from_the_kernel(self, monkeypatch):
