@@ -53,11 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.manet.simulator import BroadcastSimulator
 
 __all__ = [
+    "CompiledPlan",
+    "KernelOutputs",
     "compiled_core_available",
     "compiled_core_reason",
+    "compiled_plan",
     "execute_compiled_run",
     "precondition_blocker",
     "resolve_compiled_mode",
+    "write_back",
 ]
 
 #: Lazily-resolved (extension module | None, reason | None).
